@@ -7,7 +7,8 @@ recorded into ``BENCH_engine.json`` for cross-PR tracking:
    ``GradientPredictor.train_step_many`` stacks all layers' pooled
    activations into one trunk forward/backward; on a ResNet-style spec
    (18 predictable layers) it must be >= 1.5x faster than the
-   sequential per-layer loop it replaced (typically ~2.4x here).
+   sequential per-layer loop it replaced (1.8-2.0x on a 2-core x86_64
+   host).
 2. **BP-phase vs GP-phase batches/sec** through the engine — Phase GP
    skips the whole backward pass, so its software rate must beat the
    BP-phase rate even in NumPy, mirroring the accelerator-model claim.
@@ -21,7 +22,10 @@ recorded into ``BENCH_engine.json`` for cross-PR tracking:
    >= 1.5x faster than the BP step (the paper's Phase-GP asymmetry,
    measured rather than simulated); the hooked §3.4-faithful step must
    still beat BP outright while paying the per-layer predictor alpha
-   per invocation.
+   per invocation.  The same record carries the predictor's own share,
+   timed in the same rounds: the 18 hooked predict+apply calls of one
+   GP batch, and one stacked predictor update of a BP batch (recorded,
+   not gated).
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_engine.py -q
 """
@@ -195,6 +199,11 @@ def test_bench_gp_stream_gate(benchmark):
     * ``gp_batched`` — Phase GP with one stacked ``predict_many`` and a
       grouped optimizer apply after the no-grad forward.
 
+    Alongside them, and in the same rounds, the predictor's share of
+    those steps: ``predict_apply`` is every layer's hooked predict plus
+    GP-optimizer apply for one batch's activations, ``predictor_train``
+    one stacked ``train_step_many`` on one BP batch's true gradients.
+
     Gate: the batched no-grad GP step is >= 1.5x faster than the BP
     step, and the hooked step still beats BP outright.  Workspace-pool
     counters around a GP step are recorded as the peak-allocation proxy
@@ -204,6 +213,7 @@ def test_bench_gp_stream_gate(benchmark):
     from repro.core.engine.strategies import (
         BackpropStrategy,
         GradPredictStrategy,
+        apply_predicted_update,
     )
     from repro.nn.backend import backend_scope
 
@@ -228,18 +238,57 @@ def test_bench_gp_stream_gate(benchmark):
 
     pool = nn.get_backend("fused").pool
 
+    # One BP batch's activations and true gradients: the predictor's
+    # inputs in both phases.
+    activations = {}
+
+    def capture(layer, output):
+        activations[layer] = output
+
+    for layer in engine.layers:
+        layer.forward_hook = capture
+    with backend_scope(engine.backend):
+        outputs = engine.model(x)
+        engine.model.backward(loss_fn(outputs, y)[1])
+    engine.clear_hooks()
+    entries = [
+        (
+            layer,
+            activations[layer],
+            layer.weight.grad,
+            layer.bias.grad if layer.bias is not None else None,
+        )
+        for layer in engine.layers
+    ]
+    columns = [list(column) for column in zip(*entries)]
+    engine.model.zero_grad()
+    engine.model.clear_caches()
+
+    def predict_apply():
+        for layer, output, *_ in entries:
+            apply_predicted_update(engine, layer, output)
+
+    predictor_ops = {
+        "predict_apply": predict_apply,
+        "predictor_train": lambda: engine.predictor.train_step_many(*columns),
+    }
+
     def step(name, capture=None):
         phase = Phase.BP if name == "bp" else Phase.GP
         with backend_scope(engine.backend):
-            strategies[name].train_batch(x, y, phase)
+            if name in predictor_ops:
+                predictor_ops[name]()
+            else:
+                strategies[name].train_batch(x, y, phase)
         if capture is not None:
             # Snapshot before clear_caches: clearing resets the pool's
             # hit/miss counters along with the model caches.
             capture.update(pool.stats())
         engine.model.clear_caches()
 
+    kinds = [*strategies, *predictor_ops]
     # Warm every path (BLAS planning, workspace pool, predictor scales).
-    for name in strategies:
+    for name in kinds:
         step(name)
         step(name)
 
@@ -254,10 +303,10 @@ def test_bench_gp_stream_gate(benchmark):
     # block is short enough that machine drift between blocks stays
     # well inside the gate margin.
     rounds = 25
-    times: dict[str, list[float]] = {name: [] for name in strategies}
+    times: dict[str, list[float]] = {name: [] for name in kinds}
 
     def measure():
-        for name in strategies:
+        for name in kinds:
             for _ in range(rounds):
                 start = time.perf_counter()
                 step(name)
@@ -285,6 +334,8 @@ def test_bench_gp_stream_gate(benchmark):
             "gp_batched_step_ms": medians["gp_batched"] * 1e3,
             "gp_hooked_speedup": hooked_speedup,
             "gp_batched_speedup": batched_speedup,
+            "predict_apply_ms_per_gp_batch": medians["predict_apply"] * 1e3,
+            "predictor_train_ms_per_bp_batch": medians["predictor_train"] * 1e3,
             "gate": MIN_GP_STREAM_SPEEDUP,
             "gp_step_pool": pool_stats,
         },
@@ -294,7 +345,9 @@ def test_bench_gp_stream_gate(benchmark):
         f"hooked gp {medians['gp_hooked'] * 1e3:.2f} ms "
         f"({hooked_speedup:.2f}x), batched gp "
         f"{medians['gp_batched'] * 1e3:.2f} ms ({batched_speedup:.2f}x); "
-        f"gp-step pool {pool_stats}"
+        f"predict+apply {medians['predict_apply'] * 1e3:.2f} ms per GP batch, "
+        f"predictor train {medians['predictor_train'] * 1e3:.2f} ms per BP "
+        f"batch; gp-step pool {pool_stats}"
     )
     # The no-grad stream must be allocation-free once the pool is warm.
     assert pool_stats["misses"] == 0

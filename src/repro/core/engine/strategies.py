@@ -184,7 +184,7 @@ class BackpropStrategy(PhaseStrategy):
             entries.append((index, layer, output, layer.weight.grad, bias_grad))
         if not entries:
             return {}, {}
-        if self.batched and len(entries) > 1:
+        if self.batched:
             metrics = engine.predictor.train_step_many(
                 [e[1] for e in entries],
                 [e[2] for e in entries],

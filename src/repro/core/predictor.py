@@ -20,13 +20,23 @@ does not specify this detail and it defaults to on for robustness
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .. import nn
+from ..nn import functional as F
+from ..nn.backend import current_backend
 from ..nn.module import Module, PredictableMixin
 from . import reorganize
+
+
+class _TrunkPlan(NamedTuple):
+    """Shape-independent part of the predictor's execution plan."""
+
+    gather: np.ndarray  # (k*k, conv_h*conv_w) im2col offsets, padded map
+    conv_hw: tuple[int, int]
+    pool: F.AdaptivePoolPlan  # conv output -> final pool
 
 
 class PredictorNetwork(Module):
@@ -57,34 +67,6 @@ class PredictorNetwork(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self.net.backward(grad_out)
-
-    # ------------------------------------------------------------------
-    # Split execution for the batched multi-layer path.
-    #
-    # The front AdaptiveAvgPool2d maps every layer's reorganized
-    # activations — whatever their spatial size — onto one common shape,
-    # so pooled inputs from *different* DNN layers can be stacked along
-    # the sample axis and pushed through the parameterized trunk in a
-    # single forward/backward.  The pool has no parameters and the trunk
-    # treats samples independently, so per-sample results match the
-    # unbatched :meth:`forward` exactly.
-    # ------------------------------------------------------------------
-    def pool_front(self, x: np.ndarray) -> np.ndarray:
-        """Apply only the shape-normalizing front pool (parameter-free)."""
-        return self.net.layers[0].forward(x)
-
-    def forward_trunk(self, pooled: np.ndarray) -> np.ndarray:
-        """Run everything after the front pool on pre-pooled samples."""
-        for layer in self.net.layers[1:]:
-            pooled = layer(pooled)
-        return pooled
-
-    def backward_trunk(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backward through the trunk only; the front pool holds no
-        parameters, so trunk gradients are the complete picture."""
-        for layer in reversed(self.net.layers[1:]):
-            grad_out = layer.backward(grad_out)
-        return grad_out
 
 
 class GradientPredictor:
@@ -118,6 +100,7 @@ class GradientPredictor:
         # gradients -> larger scale" feedback loop in long fp32 runs.
         self.clip_sigma = clip_sigma
         self._scales: dict[int, float] = {}
+        self._trunk_plan: Optional[_TrunkPlan] = None  # built on first use
 
     # ------------------------------------------------------------------
     @classmethod
@@ -163,72 +146,148 @@ class GradientPredictor:
         bound = self.clip_sigma * scale
         return np.clip(rows * scale, -bound, bound)
 
-    def predict_rows(self, layer: PredictableMixin, output: np.ndarray) -> np.ndarray:
-        """Raw masked prediction rows for a layer, in gradient units.
+    # ------------------------------------------------------------------
+    # Planned execution (DESIGN.md §4).  The network is fixed (paper
+    # Fig 6) and tiny, so Module/Sequential dispatch would cost more than
+    # its arithmetic.  Every entry point runs this one straight-line
+    # forward and backward over the network's own parameters, bitwise
+    # equal to running ``network.net`` layer by layer.  Pooled samples
+    # from different layers stack along the sample axis into one trunk
+    # pass, so a single-layer call is a stack of one.
+    # ------------------------------------------------------------------
+    def _trunk(self) -> _TrunkPlan:
+        if self._trunk_plan is None:
+            front, conv, _, pool, _, _ = self.network.net.layers
+            height, width = front.output_size
+            pad, kernel = conv.padding, conv.kernel_size
+            out_h = F.conv_output_size(height, kernel, 1, pad)
+            out_w = F.conv_output_size(width, kernel, 1, pad)
+            ky, kx = np.divmod(np.arange(kernel * kernel), kernel)
+            oy, ox = np.divmod(np.arange(out_h * out_w), out_w)
+            # Flat offsets of every (tap, output position) pair into the
+            # zero-padded (height + 2*pad, width + 2*pad) map.
+            gather = (oy + ky[:, None]) * (width + 2 * pad) + ox + kx[:, None]
+            self._trunk_plan = _TrunkPlan(
+                gather,
+                (out_h, out_w),
+                F.adaptive_pool_plan((out_h, out_w), pool.output_size),
+            )
+        return self._trunk_plan
 
-        Prediction is inherently forward-only — the predictor trains
-        against true gradients elsewhere (:meth:`train_step`) — so the
-        network runs under :func:`~repro.nn.no_grad` and retains none of
-        its own backward caches.
-        """
-        row = self._check_capacity(layer)
-        reorganized = reorganize.reorganize_activations(layer, output)
-        with nn.no_grad():
-            full = self.network(reorganized)
-        return self._denormalize_rows(layer, full[:, :row])
-
-    def predict(
-        self, layer: PredictableMixin, output: np.ndarray
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Predicted (weight_grad, bias_grad) for ``layer``."""
-        rows = self.predict_rows(layer, output)
-        return reorganize.unflatten_gradients(layer, rows)
-
-    def _stacked_forward(
+    def _reorganize(
         self, layers: list[PredictableMixin], outputs: list[np.ndarray]
-    ) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-        """One trunk forward over all layers' pooled activations.
-
-        Returns the stacked FC output ``(sum(units_i), max_row)`` plus
-        per-layer ``(start, units, row)`` slices into it.
-        """
+    ) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
+        """Reorganized inputs plus per-layer ``(start, units, row)``
+        slices into the stacked FC output."""
         if len(layers) != len(outputs):
             raise ValueError(
                 f"got {len(layers)} layers but {len(outputs)} activations"
             )
         if not layers:
             raise ValueError("batched predictor call received no layers")
-        pooled: list[np.ndarray] = []
+        inputs: list[np.ndarray] = []
         slices: list[tuple[int, int, int]] = []
         start = 0
         for layer, output in zip(layers, outputs):
             row = self._check_capacity(layer)
             units, _ = reorganize.gradient_rows(layer)
-            reorganized = reorganize.reorganize_activations(layer, output)
-            pooled.append(self.network.pool_front(reorganized))
+            inputs.append(reorganize.reorganize_activations(layer, output))
             slices.append((start, units, row))
             start += units
-        stacked = np.concatenate(pooled, axis=0)
-        full = self.network.forward_trunk(stacked)
-        return full, slices
+        return inputs, slices
 
-    def predict_many(
+    def _forward(self, inputs: list[np.ndarray], train: bool):
+        """Stacked FC output ``(sum(units_i), max_row)`` for reorganized
+        inputs, plus the backward cache when ``train``."""
+        front, conv, _, _, _, fc = self.network.net.layers
+        trunk = self._trunk()
+        height, width = front.output_size
+        pad = conv.padding
+        total = sum(x.shape[0] for x in inputs)
+        padded = np.zeros(
+            (total, height + 2 * pad, width + 2 * pad),
+            dtype=np.result_type(*inputs),
+        )
+        start = 0
+        for x in inputs:
+            stop = start + x.shape[0]
+            pooled = F.adaptive_pool_plan(x.shape[2:], front.output_size).forward(x)
+            padded[start:stop, pad : pad + height, pad : pad + width] = pooled[:, 0]
+            start = stop
+        # The 3x3 conv as a 1x1 conv over its gathered k*k columns: the
+        # same GEMM on the same columns as the conv layer's im2col path.
+        cols = np.take(padded.reshape(total, -1), trunk.gather, axis=1)
+        weight = conv.weight.data.reshape(conv.out_channels, -1, 1, 1)
+        backend = current_backend()
+        conv_out, ctx = backend.conv2d_forward(
+            cols.reshape(total, -1, *trunk.conv_hw), weight, conv.bias.data, 1, 0
+        )
+        if train:
+            mask = conv_out > 0.0
+            hidden = np.where(mask, conv_out, 0.0)
+        else:
+            ctx.release()
+            hidden = np.maximum(conv_out, 0.0)
+        trunk_out = trunk.pool.forward(hidden)
+        flat = trunk_out.reshape(total, -1)
+        full = backend.linear_forward(flat, fc.weight.data, fc.bias.data)
+        if not train:
+            return full, None
+        return full, (ctx, weight, mask, trunk_out.shape, flat)
+
+    def _backward(self, grad_full: np.ndarray, cache) -> None:
+        """Accumulate FC and conv parameter gradients.  Nothing flows
+        into the parameter-free front pool."""
+        ctx, weight, mask, pooled_shape, flat = cache
+        _, conv, _, _, _, fc = self.network.net.layers
+        grad_flat, grad_w, grad_b = current_backend().linear_backward(
+            flat, grad_full, fc.weight.data, with_bias=True
+        )
+        fc.weight.accumulate_grad(grad_w)
+        fc.bias.accumulate_grad(grad_b)
+        grad_hidden = self._trunk().pool.backward(grad_flat.reshape(pooled_shape))
+        grad_conv = np.where(mask, grad_hidden, 0.0)
+        # The conv backward runs on the backend that produced its context
+        # (as Conv2d.backward does); its input gradient is discarded.
+        _, grad_w, grad_b = ctx.backend.conv2d_backward(
+            grad_conv, weight, ctx, with_bias=True
+        )
+        conv.weight.accumulate_grad(grad_w.reshape(conv.weight.shape))
+        conv.bias.accumulate_grad(grad_b)
+
+    # ------------------------------------------------------------------
+    # The public entry points share private implementations instead of
+    # calling one another, so a wrapper installed on one public method
+    # (a tracing span) never nests inside another.
+    def _predict(
         self, layers: list[PredictableMixin], outputs: list[np.ndarray]
     ) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Batched :meth:`predict` over many layers in one forward.
-
-        Numerically equivalent to calling :meth:`predict` per layer (the
-        trunk treats samples independently); one network invocation
-        instead of ``len(layers)``, run under no-grad like
-        :meth:`predict_rows`.
-        """
-        with nn.no_grad():
-            full, slices = self._stacked_forward(layers, outputs)
+        inputs, slices = self._reorganize(layers, outputs)
+        full, _ = self._forward(inputs, train=False)
         results = []
         for layer, (start, units, row) in zip(layers, slices):
             rows = self._denormalize_rows(layer, full[start : start + units, :row])
             results.append(reorganize.unflatten_gradients(layer, rows))
         return results
+
+    def predict(
+        self, layer: PredictableMixin, output: np.ndarray
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Predicted (weight_grad, bias_grad) for ``layer``.
+
+        Prediction is forward-only — the predictor trains against true
+        gradients elsewhere (:meth:`train_step`) — so it keeps no
+        backward state.
+        """
+        return self._predict([layer], [output])[0]
+
+    def predict_many(
+        self, layers: list[PredictableMixin], outputs: list[np.ndarray]
+    ) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
+        """Batched :meth:`predict` over many layers in one trunk pass
+        instead of ``len(layers)``; equivalent to per-layer calls up to
+        the GEMM's summation order over the stacked rows."""
+        return self._predict(layers, outputs)
 
     # ------------------------------------------------------------------
     def _prediction_metrics(
@@ -252,6 +311,38 @@ class GradientPredictor:
         _, grad_rows = self.mse_loss(pred_rows, target_scaled.astype(np.float32))
         return grad_rows
 
+    def _train(
+        self,
+        layers: list[PredictableMixin],
+        outputs: list[np.ndarray],
+        weight_grads: list[np.ndarray],
+        bias_grads: list[Optional[np.ndarray]],
+        apply_update: bool,
+    ) -> list[tuple[float, float]]:
+        inputs, slices = self._reorganize(layers, outputs)
+        target_rows_list = []
+        for layer, weight_grad, bias_grad in zip(layers, weight_grads, bias_grads):
+            target_rows = reorganize.flatten_gradients(layer, weight_grad, bias_grad)
+            if self.normalize_targets:
+                self._update_scale(layer, target_rows)
+            target_rows_list.append(target_rows)
+        full, cache = self._forward(inputs, train=True)
+        grad_full = np.zeros_like(full)
+        metrics: list[tuple[float, float]] = []
+        for layer, target_rows, (start, units, row) in zip(
+            layers, target_rows_list, slices
+        ):
+            pred_rows = full[start : start + units, :row]
+            metrics.append(self._prediction_metrics(layer, pred_rows, target_rows))
+            grad_full[start : start + units, :row] = self._loss_grad_rows(
+                layer, pred_rows, target_rows
+            )
+        self.network.zero_grad()
+        self._backward(grad_full, cache)
+        if apply_update:
+            self.optimizer.step()
+        return metrics
+
     def train_step(
         self,
         layer: PredictableMixin,
@@ -267,21 +358,9 @@ class GradientPredictor:
         ``apply_update=False`` accumulates gradients without stepping
         the optimizer (used by the equivalence tests).
         """
-        row = self._check_capacity(layer)
-        target_rows = reorganize.flatten_gradients(layer, weight_grad, bias_grad)
-        if self.normalize_targets:
-            self._update_scale(layer, target_rows)
-        reorganized = reorganize.reorganize_activations(layer, output)
-        full = self.network(reorganized)
-        pred_rows = full[:, :row]
-        mse, mape = self._prediction_metrics(layer, pred_rows, target_rows)
-        grad_full = np.zeros_like(full)
-        grad_full[:, :row] = self._loss_grad_rows(layer, pred_rows, target_rows)
-        self.network.zero_grad()
-        self.network.backward(grad_full)
-        if apply_update:
-            self.optimizer.step()
-        return mse, mape
+        return self._train(
+            [layer], [output], [weight_grad], [bias_grad], apply_update
+        )[0]
 
     def train_step_many(
         self,
@@ -303,28 +382,7 @@ class GradientPredictor:
         gradient signal, one optimizer trajectory; Fig-15 metrics are
         still reported per layer, *before* the update.
         """
-        target_rows_list = []
-        for layer, weight_grad, bias_grad in zip(layers, weight_grads, bias_grads):
-            target_rows = reorganize.flatten_gradients(layer, weight_grad, bias_grad)
-            if self.normalize_targets:
-                self._update_scale(layer, target_rows)
-            target_rows_list.append(target_rows)
-        full, slices = self._stacked_forward(layers, outputs)
-        grad_full = np.zeros_like(full)
-        metrics: list[tuple[float, float]] = []
-        for layer, target_rows, (start, units, row) in zip(
-            layers, target_rows_list, slices
-        ):
-            pred_rows = full[start : start + units, :row]
-            metrics.append(self._prediction_metrics(layer, pred_rows, target_rows))
-            grad_full[start : start + units, :row] = self._loss_grad_rows(
-                layer, pred_rows, target_rows
-            )
-        self.network.zero_grad()
-        self.network.backward_trunk(grad_full)
-        if apply_update:
-            self.optimizer.step()
-        return metrics
+        return self._train(layers, outputs, weight_grads, bias_grads, apply_update)
 
     # ------------------------------------------------------------------
     def num_parameters(self) -> int:

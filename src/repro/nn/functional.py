@@ -8,6 +8,7 @@ a single GEMM, which also mirrors how the accelerator model in
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -174,85 +175,119 @@ def adaptive_pool_splits(in_size: int, out_size: int) -> list[tuple[int, int]]:
     return splits
 
 
-def _splits_tile(starts: np.ndarray, ends: np.ndarray, size: int) -> bool:
-    """True when adaptive windows exactly tile the axis (no overlap)."""
-    return (
-        starts[0] == 0
-        and ends[-1] == size
-        and bool(np.all(ends[:-1] == starts[1:]))
-    )
+class _AxisWindows:
+    """Adaptive pooling windows along one axis, planned once per
+    ``(in_size, out_size)``: start/end indices, window lengths, and which
+    summation route the windows take."""
+
+    def __init__(self, in_size: int, out_size: int) -> None:
+        splits = adaptive_pool_splits(in_size, out_size)
+        self.starts = np.array([s for s, _ in splits])
+        self.ends = np.array([e for _, e in splits])
+        self.lens = self.ends - self.starts
+        # Adaptive windows always start at 0 and end at in_size, so they
+        # tile the axis exactly when consecutive windows abut.
+        self.tiles = bool(np.all(self.ends[:-1] == self.starts[1:]))
+        # Tiling windows of length two (in_size == 2 * out_size): the
+        # per-window sum is one add of the even and the odd positions.
+        self.pairs = self.tiles and in_size == 2 * out_size
+        # Overlapping windows scatter their gradient through a 0/1
+        # window-membership matrix (exact in any float dtype).
+        self.indicator: Optional[np.ndarray] = None
+        if not self.tiles:
+            self.indicator = np.zeros((out_size, in_size), dtype=np.float32)
+            for i, (start, end) in enumerate(splits):
+                self.indicator[i, start:end] = 1.0
+            self.indicator.flags.writeable = False  # shared by every caller
+
+    def sums(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Per-window sums along ``axis``.
+
+        Length-two windows add two strided views; other tiling windows
+        reduce in one :func:`np.add.reduceat`; overlapping windows
+        (``in_size % out_size != 0`` can overlap by construction) fall
+        back to cumulative-sum differences.
+        """
+        if self.pairs:
+            lead = (slice(None),) * axis
+            return x[lead + (slice(0, None, 2),)] + x[lead + (slice(1, None, 2),)]
+        if self.tiles:
+            return np.add.reduceat(x, self.starts, axis=axis)
+        csum = np.cumsum(x, axis=axis)
+        zero_shape = list(x.shape)
+        zero_shape[axis] = 1
+        csum = np.concatenate([np.zeros(zero_shape, dtype=csum.dtype), csum], axis=axis)
+        return csum.take(self.ends, axis=axis) - csum.take(self.starts, axis=axis)
 
 
-def _window_sums(x: np.ndarray, splits: list[tuple[int, int]], axis: int) -> np.ndarray:
-    """Per-window sums along ``axis`` for adaptive pooling windows.
+class AdaptivePoolPlan:
+    """Adaptive average pooling from ``in_hw`` to ``out_hw``, with the
+    windows and cell areas computed once (:func:`adaptive_pool_plan`
+    caches one plan per size pair)."""
 
-    Tiling windows reduce in one :func:`np.add.reduceat`; overlapping
-    windows (``in_size % out_size != 0`` can overlap by construction)
-    fall back to cumulative-sum differences.
-    """
-    starts = np.array([s for s, _ in splits])
-    ends = np.array([e for _, e in splits])
-    if _splits_tile(starts, ends, x.shape[axis]):
-        return np.add.reduceat(x, starts, axis=axis)
-    csum = np.cumsum(x, axis=axis)
-    zero_shape = list(x.shape)
-    zero_shape[axis] = 1
-    csum = np.concatenate([np.zeros(zero_shape, dtype=csum.dtype), csum], axis=axis)
-    return csum.take(ends, axis=axis) - csum.take(starts, axis=axis)
+    def __init__(self, in_hw: tuple[int, int], out_hw: tuple[int, int]) -> None:
+        self.in_hw = in_hw
+        self.out_hw = out_hw
+        self.identity = in_hw == out_hw
+        self.rows = _AxisWindows(in_hw[0], out_hw[0])
+        self.cols = _AxisWindows(in_hw[1], out_hw[1])
+        # Window areas are small integers, exact in any float dtype.
+        self.areas = np.outer(self.rows.lens, self.cols.lens).astype(np.float32)
+        self.areas.flags.writeable = False  # shared by every caller
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.identity:
+            return x.copy()
+        sums = self.cols.sums(self.rows.sums(x, axis=2), axis=3)
+        return sums / self.areas.astype(x.dtype, copy=False)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Scatter each output cell's gradient uniformly over its window.
+
+        The separable scatter is ``expand(rows) . grad . expand(cols)`` —
+        ``np.repeat`` when windows tile the axis, an indicator-matrix
+        matmul when they overlap."""
+        if self.identity:
+            return grad_out.copy()
+        height, (out_h, out_w) = self.in_hw[0], self.out_hw
+        dtype = grad_out.dtype
+        scaled = grad_out / self.areas.astype(dtype, copy=False)
+        if self.rows.tiles:
+            expanded = np.repeat(scaled, self.rows.lens, axis=2)
+        else:
+            # Reference substrate beneath dispatch: Backend.adaptive_avg_pool2d
+            # defaults to this plan, so routing this matmul back through
+            # current_backend() would recurse.
+            expanded = np.matmul(  # repro: noqa[backend-dispatch]
+                self.rows.indicator.astype(dtype, copy=False).T,
+                scaled.reshape(-1, out_h, out_w),
+            ).reshape(grad_out.shape[0], grad_out.shape[1], height, out_w)
+        if self.cols.tiles:
+            return np.repeat(expanded, self.cols.lens, axis=3)
+        # Same reference-substrate exemption as the row matmul above.
+        return np.matmul(  # repro: noqa[backend-dispatch]
+            expanded, self.cols.indicator.astype(dtype, copy=False)
+        )
+
+
+@lru_cache(maxsize=1024)
+def adaptive_pool_plan(
+    in_hw: tuple[int, int], out_hw: tuple[int, int]
+) -> AdaptivePoolPlan:
+    """The cached :class:`AdaptivePoolPlan` for one (in, out) size pair."""
+    return AdaptivePoolPlan(in_hw, out_hw)
 
 
 def adaptive_avg_pool2d(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     """Average-pool an NCHW tensor to an exact output spatial size."""
     out_h, out_w = out_hw
-    batch, channels, height, width = x.shape
-    if (height, width) == (out_h, out_w):
-        return x.copy()
-    rows = adaptive_pool_splits(height, out_h)
-    cols = adaptive_pool_splits(width, out_w)
-    sums = _window_sums(_window_sums(x, rows, axis=2), cols, axis=3)
-    areas = np.outer(
-        [r1 - r0 for r0, r1 in rows], [c1 - c0 for c0, c1 in cols]
-    ).astype(x.dtype)
-    return sums / areas
+    return adaptive_pool_plan(x.shape[2:], (out_h, out_w)).forward(x)
 
 
 def adaptive_avg_pool2d_backward(
     grad_out: np.ndarray, input_shape: tuple[int, int, int, int]
 ) -> np.ndarray:
-    """Backward of :func:`adaptive_avg_pool2d`: scatter each output
-    cell's gradient uniformly over its window.  The separable scatter is
-    ``expand(rows) . grad . expand(cols)`` — ``np.repeat`` when windows
-    tile the axis, an indicator-matrix matmul when they overlap."""
+    """Backward of :func:`adaptive_avg_pool2d` (see
+    :meth:`AdaptivePoolPlan.backward`)."""
     _, _, height, width = input_shape
-    out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-    if (height, width) == (out_h, out_w):
-        return grad_out.copy()
-    rows = adaptive_pool_splits(height, out_h)
-    cols = adaptive_pool_splits(width, out_w)
-    row_lens = np.array([r1 - r0 for r0, r1 in rows])
-    col_lens = np.array([c1 - c0 for c0, c1 in cols])
-    areas = np.outer(row_lens, col_lens).astype(grad_out.dtype)
-    scaled = grad_out / areas
-    row_starts = np.array([r0 for r0, _ in rows])
-    row_ends = np.array([r1 for _, r1 in rows])
-    col_starts = np.array([c0 for c0, _ in cols])
-    col_ends = np.array([c1 for _, c1 in cols])
-    if _splits_tile(row_starts, row_ends, height):
-        expanded = np.repeat(scaled, row_lens, axis=2)
-    else:
-        indicator = np.zeros((out_h, height), dtype=grad_out.dtype)
-        for i, (r0, r1) in enumerate(rows):
-            indicator[i, r0:r1] = 1.0
-        # Reference substrate beneath dispatch: Backend.adaptive_avg_pool2d
-        # defaults to these functions, so routing this matmul back through
-        # current_backend() would recurse.
-        expanded = np.matmul(  # repro: noqa[backend-dispatch]
-            indicator.T, scaled.reshape(-1, out_h, out_w)
-        ).reshape(grad_out.shape[0], grad_out.shape[1], height, out_w)
-    if _splits_tile(col_starts, col_ends, width):
-        return np.repeat(expanded, col_lens, axis=3)
-    indicator = np.zeros((out_w, width), dtype=grad_out.dtype)
-    for j, (c0, c1) in enumerate(cols):
-        indicator[j, c0:c1] = 1.0
-    # Same reference-substrate exemption as the row matmul above.
-    return np.matmul(expanded, indicator)  # repro: noqa[backend-dispatch]
+    return adaptive_pool_plan((height, width), grad_out.shape[2:]).backward(grad_out)
